@@ -6,8 +6,8 @@
 //!
 //! * [`QuantileKeepAlive`] — histogram-based adaptive keep-alive. Each
 //!   function's idle-time distribution is already tracked by the engine in
-//!   [`FunctionHistory`]'s inter-arrival ring with its lazily sorted
-//!   percentile cache; this policy reads a configurable quantile of it,
+//!   [`FunctionHistory`]'s inter-arrival window, kept sorted as arrivals
+//!   come in; this policy reads a configurable quantile of it,
 //!   applies a safety margin, and holds the resulting keep-alive inside a
 //!   hysteresis band so the target does not thrash on every arrival.
 //! * [`ForecastPrewarm`] — forecast-driven pre-warming. Every pre-warm tick

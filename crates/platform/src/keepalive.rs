@@ -8,22 +8,23 @@
 //! provides the baseline [`FixedKeepAlive`] plus two of the proposed
 //! improvements: [`AdaptiveKeepAlive`] (per-function inter-arrival histogram)
 //! and [`TimerAwareKeepAlive`] (release timer pods early, retain them just
-//! long enough when the period is close to the default).
+//! long enough when the period is close to the default). History-driven
+//! policies read [`FunctionHistory`], whose inter-arrival window is kept
+//! sorted on arrival so each percentile is one index read.
 
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
 use fntrace::{FunctionId, TriggerType};
 
 /// Per-function observation history available to keep-alive policies.
 ///
-/// The recent inter-arrival window is a circular buffer: once full, the
-/// oldest observation is overwritten in place, so recording an arrival is
-/// O(1) with no per-arrival shifting. Percentile queries sort a cached copy
-/// of the window lazily — the cache is invalidated by each arrival and
-/// rebuilt only when a policy actually asks (the adaptive keep-alive does;
-/// the fixed and timer-aware policies never do), which keeps the
-/// per-arrival hot path free of any sorted-structure maintenance.
+/// The recent inter-arrival window is kept twice: as a circular buffer in
+/// arrival order (once full, the oldest observation is overwritten in
+/// place) and as a sorted copy of the same multiset. Each arrival updates
+/// the sorted copy in place — a binary search for the evicted value and
+/// for the new value's slot, then one shift of the elements between them —
+/// so every percentile query is a plain index read. Both buffers are
+/// `Vec`s that grow only once a function actually arrives.
 #[derive(Debug, Clone, Default)]
 pub struct FunctionHistory {
     /// Recent inter-arrival times in milliseconds (circular once full;
@@ -31,14 +32,8 @@ pub struct FunctionHistory {
     recent_iat_ms: Vec<u64>,
     /// Index of the oldest entry in `recent_iat_ms` once the ring is full.
     head: usize,
-    /// Lazily sorted copy of the window, rebuilt on query when stale.
-    sorted_cache: RefCell<Vec<u64>>,
-    /// Whether `sorted_cache` is out of date with the ring.
-    sorted_stale: Cell<bool>,
-    /// How many times the sorted cache has actually been rebuilt — at most
-    /// once per window mutation, regardless of how many quantile queries run
-    /// between arrivals (pinned by a regression test).
-    sorted_rebuilds: Cell<u64>,
+    /// The values of `recent_iat_ms`, in ascending order.
+    sorted_iat_ms: Vec<u64>,
     /// Timestamp of the most recent arrival.
     last_arrival_ms: Option<u64>,
     /// Total arrivals observed.
@@ -55,15 +50,33 @@ impl FunctionHistory {
         if let Some(last) = self.last_arrival_ms {
             let iat = now_ms.saturating_sub(last);
             if self.recent_iat_ms.len() == HISTORY_CAP {
-                self.recent_iat_ms[self.head] = iat;
+                let evicted = std::mem::replace(&mut self.recent_iat_ms[self.head], iat);
                 self.head = (self.head + 1) % HISTORY_CAP;
+                self.replace_sorted(evicted, iat);
             } else {
                 self.recent_iat_ms.push(iat);
+                let at = self.sorted_iat_ms.partition_point(|&v| v < iat);
+                self.sorted_iat_ms.insert(at, iat);
             }
-            self.sorted_stale.set(true);
         }
         self.last_arrival_ms = Some(now_ms);
         self.arrivals += 1;
+    }
+
+    /// Replaces one copy of `evicted` in the sorted window with `iat`,
+    /// shifting only the elements that lie between the two values.
+    fn replace_sorted(&mut self, evicted: u64, iat: u64) {
+        let sorted = &mut self.sorted_iat_ms;
+        // The first copy of `evicted`, and the first element not below `iat`.
+        let old = sorted.partition_point(|&v| v < evicted);
+        let new = sorted.partition_point(|&v| v < iat);
+        if new > old {
+            sorted.copy_within(old + 1..new, old);
+            sorted[new - 1] = iat;
+        } else {
+            sorted.copy_within(new..old, new + 1);
+            sorted[new] = iat;
+        }
     }
 
     /// Records that an arrival caused a cold start.
@@ -76,36 +89,17 @@ impl FunctionHistory {
         self.last_arrival_ms
     }
 
-    /// Refreshes the sorted cache from the ring if it is stale.
-    fn refresh_sorted(&self) {
-        if self.sorted_stale.replace(false) {
-            let mut cache = self.sorted_cache.borrow_mut();
-            cache.clear();
-            cache.extend_from_slice(&self.recent_iat_ms);
-            cache.sort_unstable();
-            self.sorted_rebuilds.set(self.sorted_rebuilds.get() + 1);
-        }
-    }
-
     /// Number of inter-arrival samples currently in the window.
     pub fn sample_count(&self) -> usize {
         self.recent_iat_ms.len()
     }
 
-    /// How many times the lazy percentile cache has been rebuilt. Exposed so
-    /// tests can pin the dirty-flag contract: at most one rebuild per window
-    /// mutation, however many quantile queries run in between.
-    pub fn sorted_rebuilds(&self) -> u64 {
-        self.sorted_rebuilds.get()
-    }
-
     /// An arbitrary quantile of the recent inter-arrival times (exact order
     /// statistic at `ceil(q * n) - 1`), or `None` when fewer than four
-    /// observations exist. `q` is clamped into `[0, 1]`; queries share the
-    /// lazily rebuilt sorted cache with [`iat_p90_ms`](Self::iat_p90_ms).
+    /// observations exist. `q` is clamped into `[0, 1]`; a non-finite `q`
+    /// reads as 0.5.
     pub fn iat_quantile_ms(&self, q: f64) -> Option<u64> {
-        self.refresh_sorted();
-        let sorted = self.sorted_cache.borrow();
+        let sorted = &self.sorted_iat_ms;
         if sorted.len() < 4 {
             return None;
         }
@@ -134,22 +128,18 @@ impl FunctionHistory {
         Some(p90 as f64 / median as f64)
     }
 
-    /// A high percentile (approximately p90) of the recent inter-arrival
-    /// times, or `None` when fewer than four observations exist.
+    /// The 90th percentile of the recent inter-arrival times
+    /// (`iat_quantile_ms(0.9)`), or `None` when fewer than four
+    /// observations exist.
     pub fn iat_p90_ms(&self) -> Option<u64> {
-        self.refresh_sorted();
-        let sorted = self.sorted_cache.borrow();
-        if sorted.len() < 4 {
-            return None;
-        }
-        let idx = ((sorted.len() as f64) * 0.9).ceil() as usize - 1;
-        Some(sorted[idx.min(sorted.len() - 1)])
+        self.iat_quantile_ms(0.9)
     }
 
-    /// Median of the recent inter-arrival times, if enough history exists.
+    /// Upper median of the recent inter-arrival times (the element at
+    /// `n / 2`, which for even `n` sits one position above
+    /// `iat_quantile_ms(0.5)`), if enough history exists.
     pub fn iat_median_ms(&self) -> Option<u64> {
-        self.refresh_sorted();
-        let sorted = self.sorted_cache.borrow();
+        let sorted = &self.sorted_iat_ms;
         if sorted.len() < 4 {
             return None;
         }
@@ -332,15 +322,15 @@ mod tests {
         }
         assert!(h.recent_iat_ms.len() <= HISTORY_CAP);
         assert!(h.iat_p90_ms().is_some());
-        assert_eq!(h.sorted_cache.borrow().len(), h.recent_iat_ms.len());
+        assert_eq!(h.sorted_iat_ms.len(), h.recent_iat_ms.len());
         assert_eq!(h.arrivals, HISTORY_CAP as u64 * 3);
     }
 
     #[test]
-    fn lazy_percentiles_match_a_sort_oracle() {
+    fn incremental_percentiles_match_a_sort_oracle() {
         // Deterministic pseudo-random arrival gaps (with duplicates) across
-        // several evictions of the bounded window, querying after every
-        // arrival so the lazy cache is exercised in its worst case.
+        // several evictions of the bounded window, checking the sorted copy
+        // after every arrival.
         let mut h = FunctionHistory::default();
         let mut t = 0u64;
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
@@ -352,6 +342,7 @@ mod tests {
             h.observe_arrival(t);
             let mut oracle = h.recent_iat_ms.clone();
             oracle.sort_unstable();
+            assert_eq!(h.sorted_iat_ms, oracle);
             if oracle.len() >= 4 {
                 let idx = ((oracle.len() as f64) * 0.9).ceil() as usize - 1;
                 assert_eq!(h.iat_p90_ms(), Some(oracle[idx.min(oracle.len() - 1)]));
@@ -360,8 +351,6 @@ mod tests {
                 assert_eq!(h.iat_p90_ms(), None);
                 assert_eq!(h.iat_median_ms(), None);
             }
-            // Repeat queries without a new arrival hit the cached copy.
-            assert_eq!(h.iat_p90_ms(), h.iat_p90_ms());
         }
     }
 
@@ -396,48 +385,6 @@ mod tests {
         // An all-zero window (same-millisecond bursts) has no defined ratio.
         let zeros = history_with_iats(&[0, 0, 0, 0, 0]);
         assert_eq!(zeros.iat_dispersion(), None);
-    }
-
-    /// Regression test for the dirty-flag path: the sorted percentile cache
-    /// must be rebuilt **at most once per window mutation** — repeated
-    /// queries between arrivals (every access pattern the adaptive policies
-    /// produce: p90, median, arbitrary quantiles, dispersion) hit the cached
-    /// copy, never a fresh sort.
-    #[test]
-    fn percentile_cache_rebuilds_at_most_once_per_mutation() {
-        let mut h = FunctionHistory::default();
-        let mut t = 0u64;
-        // Arrivals with no queries in between never rebuild the cache.
-        for i in 0..10 {
-            t += 50 + i;
-            h.observe_arrival(t);
-        }
-        assert_eq!(h.sorted_rebuilds(), 0, "no query, no rebuild");
-        // A burst of mixed queries after one mutation costs one rebuild.
-        let _ = h.iat_p90_ms();
-        let _ = h.iat_median_ms();
-        let _ = h.iat_quantile_ms(0.75);
-        let _ = h.iat_dispersion();
-        assert_eq!(h.sorted_rebuilds(), 1, "one rebuild per mutation");
-        // Interleave mutations and query bursts across ring evictions: the
-        // rebuild count tracks the mutation count, not the query count.
-        for round in 0..(HISTORY_CAP as u64 * 2) {
-            t += 30 + round % 7;
-            h.observe_arrival(t);
-            for q in [0.1, 0.5, 0.9, 0.99] {
-                let _ = h.iat_quantile_ms(q);
-            }
-            let _ = h.iat_p90_ms();
-            assert_eq!(h.sorted_rebuilds(), 2 + round, "round {round}");
-        }
-        // A mutation nobody queries stays un-sorted until the next query.
-        let before = h.sorted_rebuilds();
-        t += 40;
-        h.observe_arrival(t);
-        assert_eq!(h.sorted_rebuilds(), before);
-        let _ = h.iat_median_ms();
-        let _ = h.iat_median_ms();
-        assert_eq!(h.sorted_rebuilds(), before + 1);
     }
 
     #[test]

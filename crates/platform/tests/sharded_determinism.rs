@@ -134,10 +134,10 @@ impl AdmissionPolicy for EveryOtherDelay {
     }
 }
 
-/// Keep-alive driven by the lazily sorted quantile cache with a hysteresis
+/// Keep-alive driven by the sorted inter-arrival window with a hysteresis
 /// map — the platform substrate the adaptive policy layer builds on. Reads
-/// `iat_quantile_ms`/`iat_dispersion` on every decision so the sorted-cache
-/// rebuild path runs under sharding, and keeps interior-mutable per-function
+/// `iat_quantile_ms`/`iat_dispersion` on every decision so the window's
+/// quantile reads run under sharding, and keeps interior-mutable per-function
 /// state exactly the way the core-crate quantile policy does.
 struct QuantileProbeKeepAlive {
     applied: RefCell<HashMap<u64, u64>>,

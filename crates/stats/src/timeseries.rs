@@ -197,7 +197,7 @@ pub fn rebin_mean(series: &[f64], factor: usize) -> Vec<f64> {
 /// Exact quantile of a series by partial selection (`select_nth_unstable`),
 /// without sorting the whole input: the `q`-quantile is the order statistic
 /// at index `ceil(q * n) - 1` (clamped into range), matching the convention
-/// of the platform's inter-arrival percentile cache. Returns `None` for an
+/// of the platform's sorted inter-arrival window. Returns `None` for an
 /// empty series or a non-finite `q`. NaN values are ordered last.
 pub fn quantile(series: &[f64], q: f64) -> Option<f64> {
     if series.is_empty() || !q.is_finite() {

@@ -172,6 +172,14 @@ pub enum TraceStreamError {
         /// The configured reorder window.
         window_ms: u64,
     },
+    /// The request file changed between the passes that select a median:
+    /// a later pass found fewer keys than the first pass counted.
+    TraceChanged {
+        /// Function whose median was being selected.
+        function: FunctionId,
+        /// Which statistic.
+        stat: ReplayStat,
+    },
 }
 
 impl std::fmt::Display for TraceStreamError {
@@ -188,6 +196,11 @@ impl std::fmt::Display for TraceStreamError {
                 "request record {seq} at {timestamp_ms}ms arrives more than {window_ms}ms \
                  after later timestamps (max seen {max_seen_ms}ms); raise the reorder window \
                  or sort the trace"
+            ),
+            TraceStreamError::TraceChanged { function, stat } => write!(
+                f,
+                "request file changed between passes: the {stat:?} median of function \
+                 {function} ranks beyond the keys re-read"
             ),
         }
     }
@@ -647,7 +660,11 @@ impl Selector {
 
     /// Digests one pass: fixes the next key byte (or finishes), choosing
     /// direct collection once at most `cap` keys remain under the prefix.
-    fn conclude_pass(&mut self, cap: usize) {
+    /// Fails when the pass saw too few keys to hold the rank, which means
+    /// the file changed since the pass that counted them.
+    fn conclude_pass(&mut self, cap: usize) -> Result<(), TraceStreamError> {
+        let (function, stat) = (self.function, self.stat);
+        let changed = move || TraceStreamError::TraceChanged { function, stat };
         match std::mem::replace(&mut self.mode, SelectorMode::Collect(Vec::new())) {
             SelectorMode::Narrow(hist) => {
                 let mut before = 0u64;
@@ -659,8 +676,7 @@ impl Selector {
                     }
                     before += n;
                 }
-                let (b, n) =
-                    bucket.expect("median rank exceeds key population: trace file changed");
+                let (b, n) = bucket.ok_or_else(changed)?;
                 self.rank -= before;
                 self.prefix |= (b as u64) << (56 - self.bits);
                 self.bits += 8;
@@ -674,13 +690,10 @@ impl Selector {
             }
             SelectorMode::Collect(mut keys) => {
                 keys.sort_unstable();
-                self.result = Some(
-                    *keys
-                        .get(self.rank as usize)
-                        .expect("median rank exceeds key population: trace file changed"),
-                );
+                self.result = Some(*keys.get(self.rank as usize).ok_or_else(changed)?);
             }
         }
+        Ok(())
     }
 }
 
@@ -693,7 +706,9 @@ impl Selector {
 /// radix narrowing fixes one more key byte per pass until fewer than `cap`
 /// keys remain under a selector's prefix, at which point one final pass
 /// collects and sorts them. At most nine passes over the file; resident
-/// memory is `O(selectors × cap)`, independent of trace length.
+/// memory is `O(selectors × cap)`, independent of trace length. A pass that
+/// finds fewer keys than a selector's rank (the file changed between passes)
+/// is a [`TraceStreamError::TraceChanged`].
 fn select_medians(
     requests_path: &Path,
     window_ms: u64,
@@ -749,7 +764,7 @@ fn select_medians(
 
         for s in &mut selectors {
             if s.result.is_none() {
-                s.conclude_pass(cap);
+                s.conclude_pass(cap)?;
             }
         }
     }
@@ -1018,7 +1033,9 @@ impl TraceReplayWorkload {
 
     /// [`open_csv_dir`](Self::open_csv_dir) with an explicit reorder window:
     /// request rows may be out of timestamp order by up to `window_ms`
-    /// (anything worse is a [`TraceStreamError::Disorder`]).
+    /// (anything worse is a [`TraceStreamError::Disorder`]). A request file
+    /// that loses rows between the passes of median selection is a
+    /// [`TraceStreamError::TraceChanged`].
     pub fn open_csv_dir_with_window(
         &self,
         region: RegionId,
@@ -1310,6 +1327,54 @@ mod tests {
         let streamed = builder.finish(&trace.functions, &calibration);
         assert_eq!(streamed, eager);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn median_rank_beyond_the_file_is_an_error() {
+        let dir = std::env::temp_dir().join("faas_workload_median_rank_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let trace = synth_trace(12);
+        trace.write_csv_dir(&dir).unwrap();
+        let paths = TraceDirPaths::new(trace.region, &dir);
+        let function = trace.requests.records()[0].function;
+
+        // A rank past every key the file holds: the first (narrowing) pass
+        // cannot place it.
+        let pending = vec![PendingMedian {
+            function,
+            stat: ReplayStat::ExecUs,
+            rank: trace.requests.len() as u64,
+        }];
+        let err =
+            select_medians(&paths.requests, DEFAULT_REPLAY_WINDOW_MS, pending, 4).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TraceStreamError::TraceChanged { function: f, stat: ReplayStat::ExecUs }
+                    if f == function
+            ),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+
+        // The final (collecting) pass fails the same way when fewer keys
+        // came back than the narrowing passes counted.
+        let mut selector = Selector {
+            function,
+            stat: ReplayStat::GapMs,
+            rank: 2,
+            prefix: 0,
+            bits: 56,
+            mode: SelectorMode::Collect(vec![5, 9]),
+            result: None,
+        };
+        assert!(matches!(
+            selector.conclude_pass(4),
+            Err(TraceStreamError::TraceChanged {
+                stat: ReplayStat::GapMs,
+                ..
+            })
+        ));
     }
 
     #[test]
