@@ -12,8 +12,8 @@
 //!   hysteresis band so the target does not thrash on every arrival.
 //! * [`ForecastPrewarm`] — forecast-driven pre-warming. Every pre-warm tick
 //!   delivers each function's bucketed arrival count
-//!   ([`FunctionView::recent_arrivals`]); a per-function
-//!   [`faas_stats::timeseries::Forecaster`] (trend + diurnal seasonality)
+//!   ([`FunctionView::recent_arrivals`](faas_platform::FunctionView::recent_arrivals));
+//!   a per-function [`faas_stats::timeseries::Forecaster`] (trend + diurnal seasonality)
 //!   fits that rate series online, and pods are created ahead of predicted
 //!   bursts inside the configured horizon.
 //! * [`HybridAdaptive`] — a per-function switcher. Functions are classified

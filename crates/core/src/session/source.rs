@@ -417,9 +417,10 @@ impl WorkloadSource for ReplayTraceSource {
 /// A trace directory replayed straight from disk — the larger-than-memory
 /// counterpart of [`ReplayTraceSource`].
 ///
-/// Opening the source runs one streaming pass over the directory's CSV files
-/// (validating every row and inferring the function specs in bounded
-/// memory); each session cell then streams its events from disk again via
+/// Opening the source streams the directory's CSV files (one pass validates
+/// every row and infers the function specs in bounded memory, and a few
+/// more select the medians of large functions, see
+/// [`StreamedTraceDir::request_passes`]); each session cell then streams its events from disk again via
 /// [`StreamedTraceDir::stream`], so no cell ever holds the request table.
 /// The seed is ignored, exactly as for [`ReplayTraceSource`]: the trace is a
 /// fixed artifact.

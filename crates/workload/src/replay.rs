@@ -49,7 +49,7 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -100,6 +100,25 @@ impl TraceReplayWorkload {
         self
     }
 
+    /// The override calibration, or one whose horizon ends on the day
+    /// boundary after the latest timestamp in `span` (at least one day).
+    fn calibration_for(&self, span: Option<(u64, u64)>) -> Result<Calibration, TraceStreamError> {
+        if let Some(calibration) = self.calibration {
+            return Ok(calibration);
+        }
+        let days = match span {
+            None => 0,
+            Some((_, hi)) => hi
+                .checked_add(1)
+                .and_then(|end| u32::try_from(end.div_ceil(MILLIS_PER_DAY)).ok())
+                .ok_or(TraceStreamError::TimestampBeyondHorizon { timestamp_ms: hi })?,
+        };
+        Ok(Calibration {
+            duration_days: days.max(1),
+            ..Calibration::default()
+        })
+    }
+
     /// Lowers one region's trace into a replay-tagged workload.
     ///
     /// This is [`build_streamed`](Self::build_streamed) collected: the
@@ -119,14 +138,17 @@ impl TraceReplayWorkload {
     /// index permutation, so replaying never duplicates the event list; the
     /// header carries the reconstructed function specs, profile, and
     /// calibration the simulator's static state needs.
+    ///
+    /// # Panics
+    ///
+    /// Without a [`with_calibration`](Self::with_calibration) override,
+    /// panics with the [`TraceStreamError::TimestampBeyondHorizon`] message
+    /// when the trace's latest timestamp puts its horizon beyond `u32::MAX`
+    /// days ([`open_csv_dir`](Self::open_csv_dir) returns that error).
     pub fn build_streamed<'a>(&self, trace: &'a RegionTrace) -> (WorkloadSpec, ReplayStream<'a>) {
-        let calibration = self.calibration.unwrap_or_else(|| {
-            let span_end = trace.time_span_ms().map(|(_, hi)| hi + 1).unwrap_or(0);
-            Calibration {
-                duration_days: (span_end.div_ceil(MILLIS_PER_DAY) as u32).max(1),
-                ..Calibration::default()
-            }
-        });
+        let calibration = self
+            .calibration_for(trace.time_span_ms())
+            .unwrap_or_else(|e| panic!("{e}"));
         let profile = self.profile.clone().unwrap_or_else(|| {
             let base =
                 RegionProfile::paper_region(trace.region.index()).unwrap_or_else(RegionProfile::r2);
@@ -172,6 +194,12 @@ pub enum TraceStreamError {
         /// The configured reorder window.
         window_ms: u64,
     },
+    /// A timestamp so late that the trace horizon (the day after it) does
+    /// not fit a [`Calibration`]'s `u32` day count.
+    TimestampBeyondHorizon {
+        /// The latest timestamp in the trace.
+        timestamp_ms: u64,
+    },
     /// The request file changed between the passes that select a median:
     /// a later pass found fewer keys than the first pass counted.
     TraceChanged {
@@ -196,6 +224,11 @@ impl std::fmt::Display for TraceStreamError {
                 "request record {seq} at {timestamp_ms}ms arrives more than {window_ms}ms \
                  after later timestamps (max seen {max_seen_ms}ms); raise the reorder window \
                  or sort the trace"
+            ),
+            TraceStreamError::TimestampBeyondHorizon { timestamp_ms } => write!(
+                f,
+                "timestamp {timestamp_ms}ms is beyond the latest replayable horizon of {} days",
+                u32::MAX
             ),
             TraceStreamError::TraceChanged { function, stat } => write!(
                 f,
@@ -227,6 +260,10 @@ impl From<CsvError> for TraceStreamError {
 struct ValueMedian {
     keys: Vec<u64>,
     total: u64,
+    /// Smallest and largest key added: they seed the selection of an
+    /// overflowed median with the key prefix every key shares.
+    lo: u64,
+    hi: u64,
     cap: usize,
     overflowed: bool,
     resolved: Option<u64>,
@@ -237,6 +274,8 @@ impl ValueMedian {
         Self {
             keys: Vec::new(),
             total: 0,
+            lo: u64::MAX,
+            hi: 0,
             cap,
             overflowed: false,
             resolved: None,
@@ -245,6 +284,8 @@ impl ValueMedian {
 
     fn add(&mut self, key: u64) {
         self.total += 1;
+        self.lo = self.lo.min(key);
+        self.hi = self.hi.max(key);
         if self.overflowed {
             return;
         }
@@ -385,9 +426,13 @@ pub struct PendingMedian {
     pub stat: ReplayStat,
     /// 0-based index into the sorted multiset of that statistic's keys.
     pub rank: u64,
+    /// Smallest key the first pass saw.
+    pub lo: u64,
+    /// Largest key the first pass saw.
+    pub hi: u64,
 }
 
-/// Streaming two-pass function-stat inference.
+/// Streaming function-stat inference.
 ///
 /// Feed every request record in `(timestamp, function, record index)` order
 /// (the [`ReplayStream`] order — [`WindowedReplayOrder`] produces exactly
@@ -479,7 +524,9 @@ impl ReplayStatsBuilder {
         a.prev_ts = Some(r.timestamp_ms);
 
         let start = r.timestamp_ms;
-        let end = (start + r.execution_time_us.div_ceil(1000)).max(start + 1);
+        let end = start
+            .saturating_add(r.execution_time_us.div_ceil(1000))
+            .max(start.saturating_add(1));
         let pod = a.pods.entry(r.pod).or_default();
         // Requests ending at or before this start are no longer in flight:
         // releases happen before the new arrival, so back-to-back requests
@@ -540,6 +587,8 @@ impl ReplayStatsBuilder {
                         function,
                         stat,
                         rank: m.rank(),
+                        lo: m.lo,
+                        hi: m.hi,
                     });
                 }
             }
@@ -622,6 +671,11 @@ const POD_GC_INTERVAL: u32 = 1024;
 /// before it falls back to out-of-core selection.
 const MEDIAN_COLLECT_CAP: usize = 1024;
 
+/// Key bits one narrowing pass of [`select_medians`] fixes. Its histogram
+/// has `2^NARROW_BITS` = [`MEDIAN_COLLECT_CAP`] buckets, so narrowing a
+/// median holds no more memory than collecting one may.
+const NARROW_BITS: u32 = MEDIAN_COLLECT_CAP.ilog2();
+
 /// One overflowed median being narrowed down by [`select_medians`].
 struct Selector {
     function: FunctionId,
@@ -635,13 +689,38 @@ struct Selector {
 }
 
 enum SelectorMode {
-    /// Histogram the next key byte of every key matching the prefix.
-    Narrow(Box<[u64; 256]>),
+    /// Histogram the next `log2(len)` key bits (at most [`NARROW_BITS`]) of
+    /// every key matching the prefix.
+    Narrow(Vec<u64>),
     /// Few enough keys match the prefix: gather and sort them outright.
     Collect(Vec<u64>),
 }
 
+impl SelectorMode {
+    /// A zeroed histogram over the key bits that follow a `bits`-bit prefix.
+    fn narrow(bits: u32) -> Self {
+        SelectorMode::Narrow(vec![0; 1 << NARROW_BITS.min(64 - bits)])
+    }
+}
+
 impl Selector {
+    /// Starts selecting `p` from the key prefix its smallest and largest
+    /// keys share: every key lies between the two, so every key has it.
+    /// At most 63 bits count as known, so even a median whose keys are all
+    /// equal is confirmed by one re-read of the file.
+    fn seeded(p: PendingMedian) -> Self {
+        let bits = (p.lo ^ p.hi).leading_zeros().min(63);
+        Self {
+            function: p.function,
+            stat: p.stat,
+            rank: p.rank,
+            prefix: p.lo & !(u64::MAX >> bits),
+            bits,
+            mode: SelectorMode::narrow(bits),
+            result: None,
+        }
+    }
+
     fn matches(&self, key: u64) -> bool {
         self.bits == 0 || (key >> (64 - self.bits)) == (self.prefix >> (64 - self.bits))
     }
@@ -652,13 +731,15 @@ impl Selector {
         }
         match &mut self.mode {
             SelectorMode::Narrow(hist) => {
-                hist[((key >> (56 - self.bits)) & 0xFF) as usize] += 1;
+                let mask = hist.len() - 1;
+                let shift = 64 - self.bits - mask.count_ones();
+                hist[(key >> shift) as usize & mask] += 1;
             }
             SelectorMode::Collect(keys) => keys.push(key),
         }
     }
 
-    /// Digests one pass: fixes the next key byte (or finishes), choosing
+    /// Digests one pass: fixes the next key bits (or finishes), choosing
     /// direct collection once at most `cap` keys remain under the prefix.
     /// Fails when the pass saw too few keys to hold the rank, which means
     /// the file changed since the pass that counted them.
@@ -678,14 +759,14 @@ impl Selector {
                 }
                 let (b, n) = bucket.ok_or_else(changed)?;
                 self.rank -= before;
-                self.prefix |= (b as u64) << (56 - self.bits);
-                self.bits += 8;
+                self.bits += hist.len().trailing_zeros();
+                self.prefix |= (b as u64) << (64 - self.bits);
                 if self.bits == 64 {
                     self.result = Some(self.prefix);
                 } else if n <= cap as u64 {
                     self.mode = SelectorMode::Collect(Vec::with_capacity(n as usize));
                 } else {
-                    self.mode = SelectorMode::Narrow(Box::new([0u64; 256]));
+                    self.mode = SelectorMode::narrow(self.bits);
                 }
             }
             SelectorMode::Collect(mut keys) => {
@@ -697,38 +778,40 @@ impl Selector {
     }
 }
 
+/// Selected `(function, statistic, key)` triples and the passes taken.
+type Selected = (Vec<(FunctionId, ReplayStat, u64)>, u32);
+
 /// Exact out-of-core median selection for the statistics that overflowed the
-/// streaming builder's cap.
+/// streaming builder's cap. Returns the selected keys and the number of
+/// passes it read the request file.
 ///
 /// Each pass re-streams the request file through the same
 /// [`WindowedReplayOrder`] the builder consumed (the order is deterministic,
-/// and gap keys depend on it) and refines every unresolved selector: byte-wise
-/// radix narrowing fixes one more key byte per pass until fewer than `cap`
-/// keys remain under a selector's prefix, at which point one final pass
-/// collects and sorts them. At most nine passes over the file; resident
-/// memory is `O(selectors × cap)`, independent of trace length. A pass that
-/// finds fewer keys than a selector's rank (the file changed between passes)
-/// is a [`TraceStreamError::TraceChanged`].
+/// and gap keys depend on it) and refines every unresolved selector. A
+/// selector starts from the key prefix shared by the smallest and largest
+/// keys the first pass saw (`b` bits, at most 63); each narrowing pass fixes
+/// up to [`NARROW_BITS`] (10) more bits until at most `cap` keys remain
+/// under the prefix, at which point one final pass collects and sorts them.
+/// That is at most ⌈(64 − b)/10⌉ passes, `b` taken from the selector with
+/// the shortest shared prefix, so an open reads the request file at most
+/// 1 + ⌈(64 − b)/10⌉ times; the benchmark's 463k-request fileset takes 2
+/// selection passes. Every selector takes at least one pass, even when all
+/// its keys are equal. Resident memory is `O(selectors × cap)` (a
+/// narrowing histogram holds `2^NARROW_BITS` = [`MEDIAN_COLLECT_CAP`]
+/// counts), independent of trace length. A pass that finds fewer keys than
+/// a selector's rank (the file changed between passes) is a
+/// [`TraceStreamError::TraceChanged`].
 fn select_medians(
     requests_path: &Path,
     window_ms: u64,
     pending: Vec<PendingMedian>,
     cap: usize,
-) -> Result<Vec<(FunctionId, ReplayStat, u64)>, TraceStreamError> {
-    let mut selectors: Vec<Selector> = pending
-        .into_iter()
-        .map(|p| Selector {
-            function: p.function,
-            stat: p.stat,
-            rank: p.rank,
-            prefix: 0,
-            bits: 0,
-            mode: SelectorMode::Narrow(Box::new([0u64; 256])),
-            result: None,
-        })
-        .collect();
+) -> Result<Selected, TraceStreamError> {
+    let mut selectors: Vec<Selector> = pending.into_iter().map(Selector::seeded).collect();
+    let mut passes = 0;
 
     while selectors.iter().any(|s| s.result.is_none()) {
+        passes += 1;
         // Index the unresolved selectors by function for the scan.
         let mut by_function: HashMap<FunctionId, Vec<usize>> = HashMap::new();
         for (i, s) in selectors.iter().enumerate() {
@@ -769,7 +852,7 @@ fn select_medians(
         }
     }
 
-    Ok(selectors
+    let selected = selectors
         .into_iter()
         .map(|s| {
             (
@@ -778,7 +861,8 @@ fn select_medians(
                 s.result.expect("loop ran to resolution"),
             )
         })
-        .collect())
+        .collect();
+    Ok((selected, passes))
 }
 
 /// Reconstructs a [`FunctionSpec`] per distinct function in the request
@@ -843,15 +927,21 @@ impl Ord for PendingRecord {
 /// [`TraceStreamError::Disorder`] — silently emitting it out of order would
 /// break the byte-determinism contract with the eager full-sort path.
 ///
+/// The buffer has two parts. A record whose key is not below the last
+/// record of the sorted *run* is appended to it; any other record goes to a
+/// min-*heap*. The next record out is the smaller of the two fronts, so an
+/// in-order record costs O(1) and only out-of-order ones pay for the heap.
+///
 /// # Memory contract
 ///
-/// The buffer holds only the records of the trailing `window_ms` of trace
-/// time (plus ties), never the file: memory is bounded by the peak arrival
-/// rate × window, independent of trace length. Sorted input never errors at
-/// any window.
+/// The run and the heap together hold only the records of the trailing
+/// `window_ms` of trace time (plus ties), never the file: memory is bounded
+/// by the peak arrival rate × window, independent of trace length. Sorted
+/// input never errors at any window.
 pub struct WindowedReplayOrder<I: Iterator<Item = Result<RequestRecord, CsvError>>> {
     source: Option<I>,
     window_ms: u64,
+    run: VecDeque<PendingRecord>,
     heap: BinaryHeap<Reverse<PendingRecord>>,
     max_seen_ms: u64,
     next_seq: u64,
@@ -863,10 +953,41 @@ impl<I: Iterator<Item = Result<RequestRecord, CsvError>>> WindowedReplayOrder<I>
         Self {
             source: Some(source),
             window_ms,
+            run: VecDeque::new(),
             heap: BinaryHeap::new(),
             max_seen_ms: 0,
             next_seq: 0,
         }
+    }
+
+    /// Removes the smallest buffered record if no unread record can sort
+    /// before it: strictly below the watermark, so equal timestamps are
+    /// always buffered together and tie-break by (function, seq).
+    fn pop_ready(&mut self) -> Option<RequestRecord> {
+        let run_min = self.run.front().map(|p| p.key);
+        let heap_min = self.heap.peek().map(|Reverse(p)| p.key);
+        let from_run = match (run_min, heap_min) {
+            (Some(r), Some(h)) => r < h,
+            (r, _) => r.is_some(),
+        };
+        let (min_ts, _, _) = if from_run { run_min } else { heap_min }?;
+        let ready =
+            self.source.is_none() || min_ts.saturating_add(self.window_ms) < self.max_seen_ms;
+        if !ready {
+            return None;
+        }
+        if from_run {
+            self.run.pop_front().map(|p| p.rec)
+        } else {
+            self.heap.pop().map(|Reverse(p)| p.rec)
+        }
+    }
+
+    fn fail(&mut self, e: TraceStreamError) -> Option<Result<RequestRecord, TraceStreamError>> {
+        self.source = None;
+        self.run.clear();
+        self.heap.clear();
+        Some(Err(e))
     }
 }
 
@@ -875,42 +996,32 @@ impl<I: Iterator<Item = Result<RequestRecord, CsvError>>> Iterator for WindowedR
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            // Emit once no unread record can sort before the buffered
-            // minimum: strictly below the watermark, so equal timestamps are
-            // always buffered together and tie-break by (function, seq).
-            if let Some(Reverse(min)) = self.heap.peek() {
-                let drained = self.source.is_none();
-                if drained || min.key.0 + self.window_ms < self.max_seen_ms {
-                    let rec = self.heap.pop().map(|Reverse(p)| p.rec)?;
-                    return Some(Ok(rec));
-                }
+            if let Some(rec) = self.pop_ready() {
+                return Some(Ok(rec));
             }
             let source = self.source.as_mut()?;
             match source.next() {
                 Some(Ok(rec)) => {
-                    if rec.timestamp_ms + self.window_ms < self.max_seen_ms {
-                        self.source = None;
-                        self.heap.clear();
-                        return Some(Err(TraceStreamError::Disorder {
+                    if rec.timestamp_ms.saturating_add(self.window_ms) < self.max_seen_ms {
+                        return self.fail(TraceStreamError::Disorder {
                             seq: self.next_seq,
                             timestamp_ms: rec.timestamp_ms,
                             max_seen_ms: self.max_seen_ms,
                             window_ms: self.window_ms,
-                        }));
+                        });
                     }
                     self.max_seen_ms = self.max_seen_ms.max(rec.timestamp_ms);
                     let key = (rec.timestamp_ms, rec.function.raw(), self.next_seq);
                     self.next_seq += 1;
-                    self.heap.push(Reverse(PendingRecord { key, rec }));
+                    let pending = PendingRecord { key, rec };
+                    if self.run.back().is_none_or(|last| last.key < key) {
+                        self.run.push_back(pending);
+                    } else {
+                        self.heap.push(Reverse(pending));
+                    }
                 }
-                Some(Err(e)) => {
-                    self.source = None;
-                    self.heap.clear();
-                    return Some(Err(e.into()));
-                }
-                None => {
-                    self.source = None;
-                }
+                Some(Err(e)) => return self.fail(e.into()),
+                None => self.source = None,
             }
         }
     }
@@ -935,6 +1046,7 @@ pub struct StreamedTraceDir {
     requests: u64,
     cold_starts: u64,
     functions: u64,
+    request_passes: u32,
 }
 
 impl StreamedTraceDir {
@@ -960,7 +1072,14 @@ impl StreamedTraceDir {
         self.functions
     }
 
-    /// Opens a fresh disk-backed event stream (the second pass). Every call
+    /// How many times the open read the request file: the inference pass
+    /// plus the passes that selected the medians too large to collect.
+    pub fn request_passes(&self) -> u32 {
+        self.request_passes
+    }
+
+    /// Opens a fresh disk-backed event stream (one more pass over the
+    /// request file, after those of the open). Every call
     /// replays the same deterministic sequence.
     pub fn stream(&self) -> Result<DiskReplayStream, TraceStreamError> {
         let reader = TraceReader::<_, RequestRecord>::from_path(&self.requests_path)?;
@@ -1020,9 +1139,17 @@ impl TraceReplayWorkload {
     /// This is the larger-than-memory counterpart of
     /// [`RegionTrace::read_csv_dir`] + [`build_streamed`](Self::build_streamed):
     /// one streaming pass over the three files infers the function specs
-    /// (via [`ReplayStatsBuilder`]) and validates every row; the returned
+    /// (via [`ReplayStatsBuilder`]) and validates every row, and the medians
+    /// of functions with more than 1024 observations are then selected
+    /// exactly in a few more passes over the request file (see
+    /// [`StreamedTraceDir::request_passes`]); the returned
     /// [`StreamedTraceDir`] then replays events straight from disk. Only the
     /// function table is held resident.
+    ///
+    /// A trace whose latest timestamp puts its horizon beyond `u32::MAX`
+    /// days is a [`TraceStreamError::TimestampBeyondHorizon`] (unless a
+    /// [`with_calibration`](Self::with_calibration) override sets the
+    /// horizon).
     pub fn open_csv_dir(
         &self,
         region: RegionId,
@@ -1061,21 +1188,17 @@ impl TraceReplayWorkload {
         // exactly by re-streaming the file (bounded extra passes, bounded
         // memory) instead of letting resident state grow with trace length.
         let pending = builder.pending_medians();
+        let mut request_passes = 1;
         if !pending.is_empty() {
-            for (function, stat, key) in
-                select_medians(&paths.requests, window_ms, pending, MEDIAN_COLLECT_CAP)?
-            {
+            let (selected, passes) =
+                select_medians(&paths.requests, window_ms, pending, MEDIAN_COLLECT_CAP)?;
+            for (function, stat, key) in selected {
                 builder.resolve_median(function, stat, key);
             }
+            request_passes += passes;
         }
 
-        let calibration = self.calibration.unwrap_or_else(|| {
-            let span_end = builder.span_ms().map(|(_, hi)| hi + 1).unwrap_or(0);
-            Calibration {
-                duration_days: (span_end.div_ceil(MILLIS_PER_DAY) as u32).max(1),
-                ..Calibration::default()
-            }
-        });
+        let calibration = self.calibration_for(builder.span_ms())?;
         let profile = self.profile.clone().unwrap_or_else(|| {
             let base =
                 RegionProfile::paper_region(region.index()).unwrap_or_else(RegionProfile::r2);
@@ -1101,6 +1224,7 @@ impl TraceReplayWorkload {
             requests,
             cold_starts,
             functions: function_rows,
+            request_passes,
         })
     }
 }
@@ -1279,6 +1403,9 @@ mod tests {
         assert_eq!(**streamed.header(), eager_header);
         assert_eq!(streamed.request_count(), trace.requests.len() as u64);
         assert_eq!(streamed.cold_start_count(), trace.cold_starts.len() as u64);
+        // 150 requests per day never outgrow the collection cap: no
+        // selection pass.
+        assert_eq!(streamed.request_passes(), 1);
 
         let disk = streamed.stream().unwrap();
         assert_eq!(disk.horizon_ms(), eager_header.duration_ms());
@@ -1319,9 +1446,9 @@ mod tests {
         }
         let pending = builder.pending_medians();
         assert!(!pending.is_empty(), "the tiny cap must overflow");
-        for (function, stat, key) in
-            select_medians(&paths.requests, DEFAULT_REPLAY_WINDOW_MS, pending, cap).unwrap()
-        {
+        let (selected, _) =
+            select_medians(&paths.requests, DEFAULT_REPLAY_WINDOW_MS, pending, cap).unwrap();
+        for (function, stat, key) in selected {
             builder.resolve_median(function, stat, key);
         }
         let streamed = builder.finish(&trace.functions, &calibration);
@@ -1344,6 +1471,8 @@ mod tests {
             function,
             stat: ReplayStat::ExecUs,
             rank: trace.requests.len() as u64,
+            lo: 0,
+            hi: u64::MAX,
         }];
         let err =
             select_medians(&paths.requests, DEFAULT_REPLAY_WINDOW_MS, pending, 4).unwrap_err();
@@ -1375,6 +1504,158 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn large_functions_are_selected_in_at_most_three_reads() {
+        let dir = std::env::temp_dir().join("faas_workload_request_passes_test");
+        std::fs::remove_dir_all(&dir).ok();
+        // 2000 requests per function-day: every statistic of every
+        // function outgrows the default collection cap of 1024 keys.
+        let trace = SynthTraceSpec {
+            region: RegionId::new(2),
+            shape: SynthShape::Diurnal,
+            functions: 4,
+            duration_days: 2,
+            mean_requests_per_day: 2000.0,
+            keep_alive_secs: 60.0,
+            seed: 5,
+        }
+        .generate();
+        trace.write_csv_dir(&dir).unwrap();
+
+        let eager_trace = RegionTrace::read_csv_dir(trace.region, &dir).unwrap();
+        let (eager_header, _) = TraceReplayWorkload::new().build_streamed(&eager_trace);
+        let streamed = TraceReplayWorkload::new()
+            .open_csv_dir(trace.region, &dir)
+            .unwrap();
+        assert_eq!(**streamed.header(), eager_header);
+        let passes = streamed.request_passes();
+        assert!(
+            (2..=3).contains(&passes),
+            "{passes} reads of the request file"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A one-request trace directory whose request is at `timestamp_ms`.
+    fn extreme_timestamp_trace(timestamp_ms: u64) -> RegionTrace {
+        let mut trace = RegionTrace::new(RegionId::new(3));
+        trace.requests.push(RequestRecord {
+            timestamp_ms,
+            pod: PodId::new(1),
+            cluster: 0,
+            function: FunctionId::new(1),
+            user: UserId::new(1),
+            request: RequestId::new(1),
+            execution_time_us: 5_000,
+            cpu_usage_millicores: 50.0,
+            memory_usage_bytes: 1 << 20,
+        });
+        trace
+    }
+
+    #[test]
+    fn timestamps_beyond_the_horizon_are_an_error() {
+        for timestamp_ms in [u64::MAX, 1_000_000_000_000_000_000] {
+            let dir = std::env::temp_dir().join(format!("faas_workload_extreme_{timestamp_ms}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let trace = extreme_timestamp_trace(timestamp_ms);
+            trace.write_csv_dir(&dir).unwrap();
+            let err = TraceReplayWorkload::new()
+                .open_csv_dir(trace.region, &dir)
+                .unwrap_err();
+            assert!(
+                matches!(err, TraceStreamError::TimestampBeyondHorizon { timestamp_ms: t }
+                    if t == timestamp_ms),
+                "{err}"
+            );
+            assert!(err.to_string().contains(&timestamp_ms.to_string()), "{err}");
+            std::fs::remove_dir_all(&dir).ok();
+
+            let eager = std::panic::catch_unwind(|| TraceReplayWorkload::new().build(&trace));
+            let message = eager.unwrap_err();
+            assert_eq!(message.downcast_ref::<String>(), Some(&err.to_string()));
+        }
+        // The latest representable horizon still opens.
+        let last_day = u64::from(u32::MAX) * MILLIS_PER_DAY - 1;
+        let trace = extreme_timestamp_trace(last_day);
+        let (header, _) = TraceReplayWorkload::new().build_streamed(&trace);
+        assert_eq!(header.calibration.duration_days, u32::MAX);
+    }
+
+    /// Selects sorted index `rank` of `keys` the way `select_medians` does
+    /// over the file, one pass over the slice per file pass. Returns the
+    /// key and the number of passes.
+    fn select_in_memory(keys: &[u64], rank: u64, cap: usize) -> (u64, u32) {
+        let mut selector = Selector::seeded(PendingMedian {
+            function: FunctionId::new(1),
+            stat: ReplayStat::ExecUs,
+            rank,
+            lo: *keys.iter().min().unwrap(),
+            hi: *keys.iter().max().unwrap(),
+        });
+        let mut passes = 0;
+        while selector.result.is_none() {
+            passes += 1;
+            for &k in keys {
+                selector.observe(k);
+            }
+            selector.conclude_pass(cap).unwrap();
+        }
+        (selector.result.unwrap(), passes)
+    }
+
+    /// A key multiset of one of four shapes: all equal, only `0` and
+    /// `u64::MAX`, a range `2^spread_bits` wide, or the total-order keys of
+    /// negative, signed-zero and positive floats.
+    fn key_multiset(shape: u8, n: usize, base: u64, spread_bits: u32, seed: u64) -> Vec<u64> {
+        let mut rng = faas_stats::rng::Xoshiro256pp::seed_from_u64(seed);
+        (0..n)
+            .map(|i| {
+                let r = rng.next_u64();
+                match shape {
+                    0 => base,
+                    1 if i < 2 => [0, u64::MAX][i],
+                    1 => [0, u64::MAX][(r & 1) as usize],
+                    2 => base.saturating_add(r >> (64 - spread_bits.max(1))),
+                    _ => f64_total_key(match r % 4 {
+                        0 => -0.0,
+                        1 => 0.0,
+                        2 => -((r >> 11) as f64) / 1e9,
+                        _ => (r >> 11) as f64 / 1e9,
+                    }),
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn selection_matches_a_sort_oracle(
+            shape in 0u8..4,
+            n in 1usize..3000,
+            base in proptest::prelude::any::<u64>(),
+            spread_bits in 0u32..24,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let keys = key_multiset(shape, n, base, spread_bits, seed);
+            let mut sorted = keys.clone();
+            sorted.sort_unstable();
+            let (lo, hi) = (sorted[0], sorted[n - 1]);
+            let shared = (lo ^ hi).leading_zeros().min(63);
+            let bound = (64 - shared).div_ceil(NARROW_BITS);
+            for rank in [0, n / 2, n - 1] {
+                for cap in [1, 4, 1024] {
+                    let (key, passes) = select_in_memory(&keys, rank as u64, cap);
+                    proptest::prop_assert_eq!(key, sorted[rank], "shape {} rank {} cap {}", shape, rank, cap);
+                    proptest::prop_assert!(
+                        (1..=bound).contains(&passes),
+                        "{} passes, bound {} (shape {}, cap {})", passes, bound, shape, cap
+                    );
+                }
+            }
+        }
     }
 
     #[test]
